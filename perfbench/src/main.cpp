@@ -23,10 +23,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "obs/json.h"
 #include "perfbench/src/common.h"
 
@@ -80,26 +82,73 @@ WorkloadFn find_workload(const std::string& name) {
 
 // --- determinism across rounds ----------------------------------------------
 
-bool same_layers(const LayerSnap& a, const LayerSnap& b) {
-  if (a.count != b.count || a.vm_shard_requests != b.vm_shard_requests) {
-    return false;
-  }
-  if (a.hist.size() != b.hist.size()) return false;
-  for (const auto& [key, h] : a.hist) {
-    auto it = b.hist.find(key);
-    if (it == b.hist.end() || it->second.counts != h.counts) return false;
-  }
-  return true;
-}
+// What the metrics take from a back-end run's per-operation samples, plus
+// a digest of everything the run reports in simulated time or counts.
+// Rounds are compared by digest, so no round has to keep its samples.
+struct SimSummary {
+  double sim_s = 0;
+  double rate_p50 = 0, rate_tail = 0;
+  double op_p50 = 0, op_tail = 0;
+  std::map<std::string, double> kind_p50;
+  uint64_t digest = 0;
+};
 
-// Everything a back-end run reports in simulated time or counts.
-bool same_simulation(const BackendRun& a, const BackendRun& b) {
-  return a.sim_s == b.sim_s && a.op_ms == b.op_ms &&
-         a.client_rate == b.client_rate && a.kind_ms == b.kind_ms &&
-         a.attempted == b.attempted && a.failed == b.failed &&
-         a.client_cache_hits == b.client_cache_hits &&
-         a.client_cache_misses == b.client_cache_misses &&
-         same_layers(a.layers, b.layers);
+class Digest {
+ public:
+  void add(uint64_t v) { h_ = splitmix64(h_ ^ v); }
+  void add(double v) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    add(bits);
+  }
+  void add(const std::vector<double>& v) {
+    add(static_cast<uint64_t>(v.size()));
+    for (double x : v) add(x);
+  }
+  void add(const std::string& s) {
+    add(static_cast<uint64_t>(s.size()));
+    for (char c : s) add(static_cast<uint64_t>(static_cast<unsigned char>(c)));
+  }
+  uint64_t value() const { return h_; }
+
+ private:
+  uint64_t h_ = 0x5EED0001ULL;
+};
+
+SimSummary summarize(const BackendRun& r) {
+  SimSummary s;
+  s.sim_s = r.sim_s;
+  s.rate_p50 = median(r.client_rate);
+  s.rate_tail = tail_low(r.client_rate);
+  s.op_p50 = median(r.op_ms);
+  s.op_tail = tail_high(r.op_ms);
+  Digest d;
+  d.add(r.sim_s);
+  d.add(r.op_ms);
+  d.add(r.client_rate);
+  for (const auto& [kind, ms] : r.kind_ms) {
+    s.kind_p50[kind] = median(ms);
+    d.add(kind);
+    d.add(ms);
+  }
+  d.add(r.attempted);
+  d.add(r.failed);
+  d.add(r.client_cache_hits);
+  d.add(r.client_cache_misses);
+  for (const auto& [key, v] : r.layers.count) {
+    d.add(key);
+    d.add(v);
+  }
+  for (const auto& [key, h] : r.layers.hist) {
+    d.add(key);
+    for (uint64_t c : h.counts) d.add(c);
+  }
+  for (const auto& [node, n] : r.layers.vm_shard_requests) {
+    d.add(uint64_t{node});
+    d.add(n);
+  }
+  s.digest = d.value();
+  return s;
 }
 
 // --- output -------------------------------------------------------------------
@@ -120,7 +169,9 @@ double peak_rss_mib() {
 }
 
 std::vector<Metric> end_to_end(const std::vector<RoundResult>& rounds,
-                               const std::vector<size_t>& untraced) {
+                               const std::vector<size_t>& untraced,
+                               const SimSummary& bsfs,
+                               const SimSummary& hdfs) {
   std::vector<double> wall, setup;
   for (size_t i : untraced) {
     wall.push_back(rounds[i].bsfs.run_host_s + rounds[i].hdfs.run_host_s);
@@ -128,37 +179,36 @@ std::vector<Metric> end_to_end(const std::vector<RoundResult>& rounds,
   for (const RoundResult& r : rounds) {
     setup.push_back(r.bsfs.setup_host_s + r.hdfs.setup_host_s);
   }
-  const RoundResult& ref = rounds.front();
   std::vector<Metric> m;
   m.push_back({"wall_s", median(wall), "s"});
   m.push_back({"setup_s", median(setup), "s"});
   m.push_back({"peak_rss_mb", peak_rss_mib(), "MiB"});
-  for (const auto& [name, run] :
-       {std::pair<const char*, const BackendRun*>{"bsfs", &ref.bsfs},
-        {"hdfs", &ref.hdfs}}) {
+  for (const auto& [name, sum] :
+       {std::pair<const char*, const SimSummary*>{"bsfs", &bsfs},
+        {"hdfs", &hdfs}}) {
     const std::string p = name;
-    m.push_back({p + "_sim_s", run->sim_s, "s"});
-    m.push_back({p + "_client_rate_p50", median(run->client_rate), "1/s"});
-    m.push_back({p + "_client_rate_tail", tail_low(run->client_rate), "1/s"});
-    m.push_back({p + "_op_ms_p50", median(run->op_ms), "ms"});
-    m.push_back({p + "_op_ms_tail", tail_high(run->op_ms), "ms"});
+    m.push_back({p + "_sim_s", sum->sim_s, "s"});
+    m.push_back({p + "_client_rate_p50", sum->rate_p50, "1/s"});
+    m.push_back({p + "_client_rate_tail", sum->rate_tail, "1/s"});
+    m.push_back({p + "_op_ms_p50", sum->op_p50, "ms"});
+    m.push_back({p + "_op_ms_tail", sum->op_tail, "ms"});
   }
   return m;
 }
 
-double kind_p50(const BackendRun& run, const char* kind) {
-  auto it = run.kind_ms.find(kind);
-  return it == run.kind_ms.end() ? 0 : median(it->second);
+double kind_p50(const SimSummary& sum, const char* kind) {
+  auto it = sum.kind_p50.find(kind);
+  return it == sum.kind_p50.end() ? 0 : it->second;
 }
 
 std::vector<Metric> per_layer(const std::vector<RoundResult>& rounds,
                               const std::vector<size_t>& untraced,
-                              const std::vector<size_t>& traced) {
+                              const std::vector<size_t>& traced,
+                              const SimSummary& bsfs, const SimSummary& hdfs) {
   // Layer counters and probe peaks of the first traced round; per-kind
   // latencies of round 0 (every round reproduces them).
   const BackendRun& b = rounds[traced.front()].bsfs;
   const BackendRun& h = rounds[traced.front()].hdfs;
-  const RoundResult& ref = rounds.front();
   LayerSnap all = b.layers;
   all.add(h.layers);
   auto c = [&all](const char* key) {
@@ -249,14 +299,14 @@ std::vector<Metric> per_layer(const std::vector<RoundResult>& rounds,
                ratio(c("bsfs.lease_hits"),
                      c("bsfs.lease_hits") + c("bsfs.lease_misses")),
                "ratio"});
-  m.push_back({"bsfs.stat_ms_p50", kind_p50(ref.bsfs, "stat"), "ms"});
-  m.push_back({"bsfs.open_ms_p50", kind_p50(ref.bsfs, "open"), "ms"});
-  m.push_back({"bsfs.publish_op_ms_p50", kind_p50(ref.bsfs, "append"), "ms"});
+  m.push_back({"bsfs.stat_ms_p50", kind_p50(bsfs, "stat"), "ms"});
+  m.push_back({"bsfs.open_ms_p50", kind_p50(bsfs, "open"), "ms"});
+  m.push_back({"bsfs.publish_op_ms_p50", kind_p50(bsfs, "append"), "ms"});
   m.push_back({"hdfs.namenode_ops", c("hdfs.namenode_ops"), "count"});
   m.push_back({"hdfs.namenode_queue_peak", h.probe.namenode_queue_peak,
                "count"});
-  m.push_back({"hdfs.stat_ms_p50", kind_p50(ref.hdfs, "stat"), "ms"});
-  m.push_back({"hdfs.open_ms_p50", kind_p50(ref.hdfs, "open"), "ms"});
+  m.push_back({"hdfs.stat_ms_p50", kind_p50(hdfs, "stat"), "ms"});
+  m.push_back({"hdfs.open_ms_p50", kind_p50(hdfs, "open"), "ms"});
   m.push_back({"hdfs.dn_cache_hit_ratio",
                ratio(c("hdfs.dn_cache_hits"),
                      c("hdfs.dn_cache_hits") + c("hdfs.dn_cache_misses")),
@@ -371,6 +421,7 @@ int main(int argc, char** argv) {
   std::vector<size_t> untraced, traced;
   bool correct = true;
   uint64_t attempted = 0, failed = 0;
+  SimSummary ref_bsfs, ref_hdfs;
   const double begin = host_now();
   while (rounds.size() < min_rounds || rounds.size() % group != 0 ||
          host_now() - begin < args.seconds) {
@@ -396,33 +447,38 @@ int main(int argc, char** argv) {
                            "passed the output checks\n", i);
       correct = false;
     }
-    if (i == 0) continue;
-    if (!same_simulation(r.bsfs, rounds.front().bsfs) ||
-        !same_simulation(r.hdfs, rounds.front().hdfs)) {
+    const SimSummary b = summarize(r.bsfs), h = summarize(r.hdfs);
+    if (i == 0) {
+      ref_bsfs = b;
+      ref_hdfs = h;
+    } else if (b.digest != ref_bsfs.digest || h.digest != ref_hdfs.digest) {
       std::fprintf(stderr, "perfbench: round %zu (%s) did not reproduce "
                            "round 0's simulated results\n",
                    i, opt.traced ? "traced" : "untraced");
       correct = false;
     }
-    // Round 0 keeps the per-operation samples the metrics are computed
-    // from; later rounds only had to match them. Only the last traced
+    // The per-operation samples are summarized; only the last traced
     // round keeps its spans. Memory then stays the same however many
-    // rounds fit into the run.
+    // rounds fit into the run. (Assigning a fresh object, not `= {}`,
+    // which would keep a vector's capacity.)
     for (BackendRun* run : {&r.bsfs, &r.hdfs}) {
-      run->op_ms = {};
-      run->client_rate = {};
-      run->kind_ms = {};
+      run->op_ms = std::vector<double>();
+      run->client_rate = std::vector<double>();
+      run->kind_ms.clear();
     }
     if (opt.traced && traced.size() > 1) {
       RoundResult& prev = rounds[traced[traced.size() - 2]];
-      prev.bsfs.spans = {};
-      prev.hdfs.spans = {};
+      prev.bsfs.spans = std::vector<OpSpan>();
+      prev.hdfs.spans = std::vector<OpSpan>();
     }
   }
+  if (failed > 0) correct = false;
 
   std::vector<Metric> metrics = args.trace == 1
-                                    ? per_layer(rounds, untraced, traced)
-                                    : end_to_end(rounds, untraced);
+                                    ? per_layer(rounds, untraced, traced,
+                                                ref_bsfs, ref_hdfs)
+                                    : end_to_end(rounds, untraced, ref_bsfs,
+                                                 ref_hdfs);
   if (args.trace == 1 && !args.trace_out.empty()) {
     write_trace(args.trace_out, args, rounds, traced);
   }

@@ -32,7 +32,7 @@ namespace {
 
 constexpr uint32_t kFiles = 256;
 constexpr uint32_t kClients = 10000;
-constexpr uint32_t kOpsPerClient = 12;
+constexpr uint32_t kOpsPerClient = 24;
 // Each client thinks for a seeded time, uniform in [0, kMaxThinkS), before
 // every op. Without it the saturated NameNode serves the closed loop in
 // strict rotation and every HDFS op takes exactly clients x service time,
@@ -54,10 +54,20 @@ struct Op {
 };
 
 struct Input {
-  std::vector<std::vector<Op>> ops;      // per client
-  std::vector<std::string> paths;        // per file
-  std::vector<uint64_t> appends;         // per file, issued by the stream
-  std::vector<std::vector<std::string>> new_paths;  // HDFS publish targets
+  std::vector<Op> ops;            // client c's k-th op at c * kOpsPerClient + k
+  std::vector<std::string> paths;  // per file
+  std::vector<uint64_t> appends;   // per file, issued by the stream
+
+  const Op& op(uint32_t c, uint32_t k) const {
+    return ops[size_t{c} * kOpsPerClient + k];
+  }
+};
+
+// What the output checks expect of a seed's stream: its append count per
+// file and which op slots are appends (the HDFS publish targets).
+struct Expected {
+  std::vector<uint64_t> appends;
+  std::vector<bool> append_slot;  // indexed like Input::ops
 };
 
 // 40% stat, 20% open, 20% snapshot, 20% append+publish; files uniform;
@@ -69,8 +79,7 @@ Input make_input(uint64_t seed) {
   for (uint32_t f = 0; f < kFiles; ++f) {
     in.paths.push_back("/meta/f" + std::to_string(f));
   }
-  in.ops.resize(kClients);
-  in.new_paths.resize(kClients);
+  in.ops.reserve(size_t{kClients} * kOpsPerClient);
   for (uint32_t c = 0; c < kClients; ++c) {
     for (uint32_t k = 0; k < kOpsPerClient; ++k) {
       Op op;
@@ -79,12 +88,24 @@ Input make_input(uint64_t seed) {
       op.kind = r < 4 ? kStat : r < 6 ? kOpen : r < 8 ? kSnapshot : kAppend;
       op.think_s = kMaxThinkS * rng.uniform();
       if (op.kind == kAppend) ++in.appends[op.file];
-      in.ops[c].push_back(op);
-      in.new_paths[c].push_back("/meta/new/c" + std::to_string(c) + "-" +
-                                std::to_string(k));
+      in.ops.push_back(op);
     }
   }
   return in;
+}
+
+Expected expected_of(const Input& in) {
+  Expected e;
+  e.appends = in.appends;
+  e.append_slot.reserve(in.ops.size());
+  for (const Op& op : in.ops) e.append_slot.push_back(op.kind == kAppend);
+  return e;
+}
+
+// The file an HDFS publish in client c's k-th op slot creates. Kept out of
+// the coroutine bodies (see the GCC 12.2 note in mr/cluster.h).
+[[gnu::noinline]] std::string new_path(uint32_t c, uint32_t k) {
+  return "/meta/new/c" + std::to_string(c) + "-" + std::to_string(k);
 }
 
 bench::WorldOptions storm_options() {
@@ -131,7 +152,8 @@ sim::Task<void> bsfs_client(Ctx* ctx, uint32_t c) {
   const net::NodeId node = bench::client_node(bench::paper_cluster(), c);
   auto client = ctx->fs->make_client(node);
   const double start = ctx->sim->now();
-  for (const Op& op : ctx->in->ops[c]) {
+  for (uint32_t k = 0; k < kOpsPerClient; ++k) {
+    const Op& op = ctx->in->op(c, k);
     co_await ctx->sim->delay(op.think_s);
     const std::string& path = ctx->in->paths[op.file];
     const uint64_t floor = ctx->floor[op.file];
@@ -166,8 +188,8 @@ sim::Task<void> hdfs_client(Ctx* ctx, uint32_t c) {
   const net::NodeId node = bench::client_node(bench::paper_cluster(), c);
   auto client = ctx->fs->make_client(node);
   const double start = ctx->sim->now();
-  for (size_t k = 0; k < ctx->in->ops[c].size(); ++k) {
-    const Op& op = ctx->in->ops[c][k];
+  for (uint32_t k = 0; k < kOpsPerClient; ++k) {
+    const Op& op = ctx->in->op(c, k);
     co_await ctx->sim->delay(op.think_s);
     const std::string& path = ctx->in->paths[op.file];
     const double t0 = ctx->sim->now();
@@ -182,7 +204,7 @@ sim::Task<void> hdfs_client(Ctx* ctx, uint32_t c) {
       auto snap = co_await client->snapshot(path);
       ok = snap.has_value() && snap->size == kPage;
     } else {
-      auto writer = co_await client->create(ctx->in->new_paths[c][k]);
+      auto writer = co_await client->create(new_path(c, k));
       if (writer != nullptr) {
         const bool closed = co_await writer->close();
         ok = closed;
@@ -254,26 +276,26 @@ uint64_t bad_chains(bench::BsfsWorld& world, const std::vector<blob::BlobId>& id
 
 struct PublishedCtx {
   fs::FileSystem* fs = nullptr;
-  const Input* in = nullptr;
+  const Expected* expect = nullptr;
   uint64_t missing = 0;
 };
 
 sim::Task<void> check_published(PublishedCtx* ctx) {
   auto client = ctx->fs->make_client(0);
-  for (size_t c = 0; c < ctx->in->ops.size(); ++c) {
-    for (size_t k = 0; k < ctx->in->ops[c].size(); ++k) {
-      if (ctx->in->ops[c][k].kind != kAppend) continue;
-      auto st = co_await client->stat(ctx->in->new_paths[c][k]);
+  for (uint32_t c = 0; c < kClients; ++c) {
+    for (uint32_t k = 0; k < kOpsPerClient; ++k) {
+      if (!ctx->expect->append_slot[size_t{c} * kOpsPerClient + k]) continue;
+      auto st = co_await client->stat(new_path(c, k));
       if (!st.has_value() || st->size != 0) ++ctx->missing;
     }
   }
 }
 
-// Publishes of `in`'s stream that are not visible as empty files.
-uint64_t unpublished(bench::HdfsWorld& world, const Input& in) {
+// Publishes `expect` names that are not visible as empty files.
+uint64_t unpublished(bench::HdfsWorld& world, const Expected& expect) {
   PublishedCtx ctx;
   ctx.fs = world.fs.get();
-  ctx.in = &in;
+  ctx.expect = &expect;
   world.sim.spawn(check_published(&ctx));
   world.sim.run();
   return ctx.missing;
@@ -301,7 +323,8 @@ void measure(World& world, Ctx& ctx, const RoundOptions& opt,
   out.sim_s = sim_end - sim_start;
 }
 
-BackendRun run_bsfs(const Input& in, const Input& wrong,
+BackendRun run_bsfs(const Input& in, const Expected& right,
+                    const Expected& wrong,
                     const RoundOptions& opt) {
   BackendRun out;
   out.setup_host_at = host_now();
@@ -318,12 +341,13 @@ BackendRun run_bsfs(const Input& in, const Input& wrong,
   ctx.out = &out;
   measure(*world, ctx, opt, bsfs_client);
   // One failed operation per blob whose chain is wrong.
-  out.failed += bad_chains(*world, ctx.ids, in.appends);
+  out.failed += bad_chains(*world, ctx.ids, right.appends);
   out.negative_check_ok = bad_chains(*world, ctx.ids, wrong.appends) > 0;
   return out;
 }
 
-BackendRun run_hdfs(const Input& in, const Input& wrong,
+BackendRun run_hdfs(const Input& in, const Expected& right,
+                    const Expected& wrong,
                     const RoundOptions& opt) {
   BackendRun out;
   out.setup_host_at = host_now();
@@ -338,7 +362,7 @@ BackendRun run_hdfs(const Input& in, const Input& wrong,
   ctx.out = &out;
   measure(*world, ctx, opt, hdfs_client);
   // One failed operation per publish that is not visible afterwards.
-  out.failed += unpublished(*world, in);
+  out.failed += unpublished(*world, right);
   out.negative_check_ok = unpublished(*world, wrong) > 0;
   return out;
 }
@@ -347,10 +371,11 @@ BackendRun run_hdfs(const Input& in, const Input& wrong,
 
 RoundResult run_meta_storm(const RoundOptions& opt) {
   const Input in = make_input(opt.seed);
-  const Input wrong = make_input(opt.seed ^ 1);
+  const Expected right = expected_of(in);
+  const Expected wrong = expected_of(make_input(opt.seed ^ 1));
   RoundResult r;
-  r.bsfs = run_bsfs(in, wrong, opt);
-  r.hdfs = run_hdfs(in, wrong, opt);
+  r.bsfs = run_bsfs(in, right, wrong, opt);
+  r.hdfs = run_hdfs(in, right, wrong, opt);
   return r;
 }
 

@@ -54,7 +54,9 @@ Input make_input(uint64_t seed, const net::ClusterConfig& cfg) {
   return in;
 }
 
-std::string part_path(const std::string& dir, uint32_t map) {
+// Kept out of the coroutine bodies (see the GCC 12.2 note in
+// mr/cluster.h).
+[[gnu::noinline]] std::string part_path(const std::string& dir, uint32_t map) {
   char name[32];
   std::snprintf(name, sizeof(name), "part-m-%05u", map);
   return fs::join_path(dir, name);
@@ -153,10 +155,17 @@ sim::Task<void> run_job(mr::MapReduceCluster* cluster, mr::JobConfig config,
   probe->stop = true;
 }
 
+// What the output checks expect: the part files of `maps` maps in `dir`,
+// each `bytes` long.
+struct Expect {
+  std::string dir;
+  uint32_t maps = kMaps;
+  uint64_t bytes = kBytesPerMap;
+};
+
 struct CheckCtx {
   fs::FileSystem* fs = nullptr;
-  std::vector<std::string> expected;  // part paths, map order
-  std::string dir;
+  const Expect* expect = nullptr;
   uint64_t failed = 0;
 };
 
@@ -173,32 +182,33 @@ struct CheckCtx {
 }
 
 sim::Task<void> check_outputs(CheckCtx* ctx) {
+  const Expect& e = *ctx->expect;
   auto client = ctx->fs->make_client(0);
-  const std::vector<std::string> listed = co_await client->list(ctx->dir);
-  for (const std::string& path : ctx->expected) {
+  const std::vector<std::string> listed = co_await client->list(e.dir);
+  for (uint32_t m = 0; m < e.maps; ++m) {
+    const std::string path = part_path(e.dir, m);
     bool ok = std::find(listed.begin(), listed.end(), path) != listed.end();
     auto st = co_await client->stat(path);
-    ok = ok && st.has_value() && st->size == kBytesPerMap;
+    ok = ok && st.has_value() && st->size == e.bytes;
     auto reader = co_await client->open(path);
     uint64_t got = 0;
     if (reader != nullptr) {
-      for (uint64_t at = 0; at < kBytesPerMap; at += kReadBack) {
+      for (uint64_t at = 0; at < reader->size(); at += kReadBack) {
         const DataSpec chunk = co_await reader->read(at, kReadBack);
         got += chunk.size();
         if (chunk.size() == 0) break;
       }
     }
-    if (!ok || got != kBytesPerMap) ++ctx->failed;
+    if (!ok || got != e.bytes) ++ctx->failed;
   }
-  if (count_parts(ctx->dir, listed) != ctx->expected.size()) ++ctx->failed;
+  if (count_parts(e.dir, listed) != e.maps) ++ctx->failed;
 }
 
 uint64_t run_checks(sim::Simulator& sim, fs::FileSystem& fs,
-                    const std::string& dir) {
+                    const Expect& expect) {
   CheckCtx ctx;
   ctx.fs = &fs;
-  ctx.dir = dir;
-  for (uint32_t m = 0; m < kMaps; ++m) ctx.expected.push_back(part_path(dir, m));
+  ctx.expect = &expect;
   sim.spawn(check_outputs(&ctx));
   sim.run();
   return ctx.failed;
@@ -251,12 +261,18 @@ BackendRun run_backend(const Input& in, const RoundOptions& opt) {
   const bool job_ok = stats.maps == kMaps &&
                       stats.output_bytes == uint64_t{kMaps} * kBytesPerMap &&
                       out.op_ms.size() == kMaps;
-  out.failed = job_ok ? run_checks(world->sim, *world->fs, in.output_dir)
-                      : kMaps;
+  const Expect right{in.output_dir};
+  out.failed = job_ok ? run_checks(world->sim, *world->fs, right) : kMaps;
   out.failed = std::min<uint64_t>(out.failed, kMaps);
-  // Negative self-check: the outputs a wrong seed expects must not pass.
+  // Negative self-check. The outputs a wrong seed expects (another
+  // directory) must not pass, and neither may the real outputs against a
+  // wrong map count and length: every file then fails its stat and
+  // read-back comparisons, and the listing its count.
+  const Expect wrong_seed{output_dir_for(opt.seed ^ 1)};
+  const Expect wrong_shape{in.output_dir, kMaps + 1, kBytesPerMap + kReadBack};
   out.negative_check_ok =
-      run_checks(world->sim, *world->fs, output_dir_for(opt.seed ^ 1)) > 0;
+      run_checks(world->sim, *world->fs, wrong_seed) > 0 &&
+      run_checks(world->sim, *world->fs, wrong_shape) == kMaps + 2;
   return out;
 }
 
