@@ -3,12 +3,20 @@
 // loss (crash before the ack loses the whole batch, crash after the ack
 // loses nothing — including a crash that catches the batch on the platter
 // path), and WAL replay after a torn tail mid-batch.
+//
+// The same contract at the two storage nodes' write-back windows (the blob
+// provider's page flusher and the HDFS DataNode's block syncer), driven
+// through their public write paths.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "blob/provider.h"
+#include "hdfs/datanode.h"
 #include "kv/journal.h"
 #include "kv/kvstore.h"
 #include "net/network.h"
@@ -276,3 +284,272 @@ TEST(GroupCommit, CheckpointSettlesPendingBatchesAsSubsumed) {
 
 }  // namespace
 }  // namespace bs::kv
+
+namespace bs {
+namespace {
+
+using kv::kNode;
+constexpr uint64_t kPageLen = 4096;
+
+// Uniform handles on the two write-back sites. Record i is page {1, i, 1}
+// at the provider and block i + 1 at the DataNode.
+struct ProviderSite {
+  blob::Provider node;
+
+  ProviderSite(sim::Simulator& sim, net::Network& net, DurabilityPolicy d)
+      : node(sim, net, config(d)) {}
+  static blob::ProviderConfig config(DurabilityPolicy d) {
+    blob::ProviderConfig cfg;
+    cfg.node = kNode;
+    cfg.durability = d;
+    return cfg;
+  }
+  static blob::PageKey key(uint64_t i) { return blob::PageKey{1, i, 1}; }
+
+  sim::Task<bool> write(uint64_t i) {
+    return node.put_page(0, key(i), DataSpec::pattern(i, 0, kPageLen));
+  }
+  sim::Task<std::optional<DataSpec>> read(uint64_t i) {
+    return node.get_page(0, key(i));
+  }
+  sim::Task<void> forget(uint64_t i) {
+    (void)co_await node.erase_page(0, key(i));
+  }
+  bool stored(uint64_t i) const { return node.has_page(key(i)); }
+  uint64_t batches() const { return node.flush_batches(); }
+  uint64_t unsynced() const { return node.unsynced_pages(); }
+};
+
+struct DataNodeSite {
+  hdfs::DataNode node;
+
+  DataNodeSite(sim::Simulator& sim, net::Network& net, DurabilityPolicy d)
+      : node(sim, net, kNode, 2ULL << 30, d) {}
+
+  sim::Task<bool> write(uint64_t i) {
+    return node.receive_block(0, i + 1, DataSpec::pattern(i, 0, kPageLen));
+  }
+  sim::Task<std::optional<DataSpec>> read(uint64_t i) {
+    return node.read_block(0, i + 1, 0, kPageLen);
+  }
+  sim::Task<void> forget(uint64_t i) {
+    node.forget_block(i + 1);
+    co_return;
+  }
+  bool stored(uint64_t i) const { return node.has_block(i + 1); }
+  uint64_t batches() const { return node.sync_batches(); }
+  uint64_t unsynced() const { return node.unsynced_blocks(); }
+};
+
+template <typename Site>
+struct SiteWorld {
+  sim::Simulator sim;
+  net::Network net;
+  Site site;
+
+  explicit SiteWorld(DurabilityPolicy d)
+      : net(sim, kv::tiny_net()), site(sim, net, d) {}
+
+  // What the fault layer does: the network first (bumping the incarnation,
+  // which fails a disk write in flight), then the node's own RAM.
+  void power_loss() {
+    net.set_node_up(kNode, false);
+    site.node.crash();
+  }
+  void power_on() {
+    net.set_node_up(kNode, true);
+    site.node.recover();
+  }
+  double disk_written() { return net.disk(kNode).bytes_written(); }
+  double disk_read() { return net.disk(kNode).bytes_read(); }
+};
+
+template <typename Site>
+sim::Task<void> write_one(sim::Simulator* sim, Site* site, uint64_t i,
+                          kv::Ack* ack) {
+  const bool ok = co_await site->write(i);
+  ack->result = ok ? 1 : 2;
+  ack->at = sim->now();
+}
+
+template <typename World>
+void spawn_writes(World& w, std::vector<kv::Ack>& acks, uint64_t first = 0) {
+  for (uint64_t i = 0; i < acks.size(); ++i)
+    w.sim.spawn(write_one(&w.sim, &w.site, first + i, &acks[i]));
+}
+
+template <typename World>
+sim::Task<void> power_loss_at(World* w, double at) {
+  co_await w->sim.delay(at);
+  w->power_loss();
+}
+
+template <typename Site>
+class WriteBackWindow : public ::testing::Test {};
+using Sites = ::testing::Types<ProviderSite, DataNodeSite>;
+TYPED_TEST_SUITE(WriteBackWindow, Sites);
+
+TYPED_TEST(WriteBackWindow, CountTriggerFlushesAFullBatch) {
+  SiteWorld<TypeParam> w(DurabilityPolicy::batched(4, /*max_delay_s=*/10.0));
+  std::vector<kv::Ack> acks(4);
+  spawn_writes(w, acks);
+  w.sim.run_until(1.0);  // long before the 10 s timer
+  for (const auto& a : acks) EXPECT_EQ(a.result, 1);
+  EXPECT_EQ(w.site.batches(), 1u);
+  EXPECT_EQ(w.site.unsynced(), 0u);
+  EXPECT_EQ(w.disk_written(), 4.0 * kPageLen);  // one disk write, all four
+}
+
+TYPED_TEST(WriteBackWindow, TimerTriggerFlushesAPartialBatch) {
+  SiteWorld<TypeParam> w(DurabilityPolicy::batched(100, /*max_delay_s=*/0.05));
+  std::vector<kv::Ack> acks(3);
+  spawn_writes(w, acks);
+  w.sim.run_until(0.04);
+  EXPECT_EQ(w.site.batches(), 0u);
+  EXPECT_EQ(w.site.unsynced(), 3u);
+  w.sim.run_until(1.0);
+  EXPECT_EQ(w.site.batches(), 1u);
+  EXPECT_EQ(w.site.unsynced(), 0u);
+}
+
+template <typename Site>
+sim::Task<void> write_then_drain(sim::Simulator* sim, Site* site, uint64_t n,
+                                 double* drained_at) {
+  for (uint64_t i = 0; i < n; ++i) (void)co_await site->write(i);
+  co_await site->node.drain();
+  *drained_at = sim->now();
+}
+
+TYPED_TEST(WriteBackWindow, DrainForcesAPartialBatch) {
+  SiteWorld<TypeParam> w(DurabilityPolicy::batched(100, /*max_delay_s=*/10.0));
+  double drained_at = -1;
+  w.sim.spawn(write_then_drain(&w.sim, &w.site, 3, &drained_at));
+  w.sim.run_until(1.0);
+  EXPECT_GE(drained_at, 0.0);  // did not wait out the 10 s timer
+  EXPECT_EQ(w.site.batches(), 1u);
+  EXPECT_EQ(w.site.unsynced(), 0u);
+  for (uint64_t i = 0; i < 3; ++i) EXPECT_TRUE(w.site.stored(i));
+}
+
+template <typename World>
+sim::Task<void> two_more_at(World* w, double at, std::vector<kv::Ack>* acks) {
+  co_await w->sim.delay(at);
+  spawn_writes(*w, *acks, /*first=*/4);
+}
+
+TYPED_TEST(WriteBackWindow, PowerLossDestroysExactlyTheUnsyncedWindow) {
+  SiteWorld<TypeParam> w(DurabilityPolicy::batched(4, /*max_delay_s=*/10.0));
+  // Records 0-3 sync by count; 4-5 sit acked but unsynced (the window is 4
+  // deep) until the power dies at 1 s.
+  std::vector<kv::Ack> first(4), second(2);
+  spawn_writes(w, first);
+  w.sim.spawn(two_more_at(&w, 0.5, &second));
+  w.sim.spawn(power_loss_at(&w, 1.0));
+  w.sim.run_until(2.0);
+  for (const auto& a : first) EXPECT_EQ(a.result, 1);
+  for (const auto& a : second) EXPECT_EQ(a.result, 1);
+  for (uint64_t i = 0; i < 4; ++i) EXPECT_TRUE(w.site.stored(i));
+  for (uint64_t i = 4; i < 6; ++i) EXPECT_FALSE(w.site.stored(i));
+  EXPECT_EQ(w.site.node.bytes_lost_on_power_loss(), 2 * kPageLen);
+  EXPECT_EQ(w.site.node.acked_bytes_lost_on_power_loss(), 2 * kPageLen);
+  EXPECT_EQ(w.site.unsynced(), 0u);
+  EXPECT_EQ(w.site.node.unsynced_bytes(), 0u);
+  EXPECT_EQ(w.site.batches(), 1u);
+}
+
+TYPED_TEST(WriteBackWindow, CrashDuringTheDiskWriteLosesTheInflightBatch) {
+  SiteWorld<TypeParam> w(DurabilityPolicy::batched(2, /*max_delay_s=*/10.0));
+  // Records 0-1 fill the first batch and ack at once (the window is 2
+  // deep); 2-3 wait for it to sync. The power dies 1 ms in, while the batch
+  // pays its ~2 ms disk positioning.
+  std::vector<kv::Ack> acks(4);
+  spawn_writes(w, acks);
+  w.sim.spawn(power_loss_at(&w, 0.001));
+  w.sim.run_until(2.0);
+  EXPECT_EQ(acks[0].result, 1);
+  EXPECT_EQ(acks[1].result, 1);
+  EXPECT_EQ(acks[2].result, 2);  // refused, not lied to
+  EXPECT_EQ(acks[3].result, 2);
+  for (uint64_t i = 0; i < 4; ++i) EXPECT_FALSE(w.site.stored(i));
+  EXPECT_EQ(w.site.batches(), 0u);
+  EXPECT_EQ(w.site.node.bytes_lost_on_power_loss(), 4 * kPageLen);
+  EXPECT_EQ(w.site.node.acked_bytes_lost_on_power_loss(), 2 * kPageLen);
+  EXPECT_EQ(w.site.unsynced(), 0u);
+}
+
+template <typename Site>
+sim::Task<void> write_forget_drain(Site* site) {
+  (void)co_await site->write(0);
+  (void)co_await site->write(1);
+  co_await site->forget(0);
+  co_await site->node.drain();
+}
+
+TYPED_TEST(WriteBackWindow, ForgottenWhileQueuedCostsNoDiskWrite) {
+  SiteWorld<TypeParam> w(DurabilityPolicy::batched(4, /*max_delay_s=*/10.0));
+  w.sim.spawn(write_forget_drain(&w.site));
+  w.sim.run_until(1.0);
+  EXPECT_EQ(w.site.batches(), 1u);
+  EXPECT_EQ(w.disk_written(), 1.0 * kPageLen);  // record 1 only
+  EXPECT_EQ(w.site.unsynced(), 0u);
+  EXPECT_EQ(w.site.node.unsynced_bytes(), 0u);
+  EXPECT_EQ(w.site.node.bytes_lost_on_power_loss(), 0u);
+  EXPECT_FALSE(w.site.stored(0));
+  EXPECT_TRUE(w.site.stored(1));
+  if constexpr (std::is_same_v<TypeParam, ProviderSite>) {
+    // The erased page's RAM is free; the synced one stays cached.
+    EXPECT_EQ(w.site.node.ram_used(), kPageLen);
+  }
+}
+
+sim::Task<void> overwrite_then_fill(ProviderSite* site, uint64_t* window) {
+  (void)co_await site->write(0);
+  (void)co_await site->write(1);
+  (void)co_await site->write(0);  // still dirty: keeps its queue slot
+  *window = site->unsynced();
+  (void)co_await site->write(2);
+  (void)co_await site->write(3);
+}
+
+TEST(ProviderWriteBack, OverwritingADirtyPageKeepsItsSeq) {
+  SiteWorld<ProviderSite> w(DurabilityPolicy::batched(4, /*max_delay_s=*/10.0));
+  uint64_t window = 0;
+  w.sim.spawn(overwrite_then_fill(&w.site, &window));
+  w.sim.run_until(1.0);
+  EXPECT_EQ(window, 2u);
+  // Four distinct pages fill one batch by count; a fresh seq for the
+  // overwrite would have left a fifth record waiting on the 10 s timer.
+  EXPECT_EQ(w.site.batches(), 1u);
+  EXPECT_EQ(w.site.unsynced(), 0u);
+  EXPECT_EQ(w.disk_written(), 4.0 * kPageLen);
+}
+
+TEST(ProviderWriteBack, NoneAndImmediateWriteOnePagePerDiskWrite) {
+  for (const DurabilityPolicy& d :
+       {DurabilityPolicy::none(), DurabilityPolicy::immediate()}) {
+    SCOPED_TRACE(durability_level_name(d.level));
+    SiteWorld<ProviderSite> w(d);
+    std::vector<kv::Ack> acks(5);
+    spawn_writes(w, acks);
+    w.sim.run();
+    for (const auto& a : acks) EXPECT_EQ(a.result, 1);
+    EXPECT_EQ(w.site.batches(), 5u);
+    EXPECT_EQ(w.site.unsynced(), 0u);
+  }
+}
+
+TEST(DataNodeWriteBack, NoneBatchesUpToMaxRecords) {
+  DurabilityPolicy d = DurabilityPolicy::none();
+  d.max_records = 4;
+  SiteWorld<DataNodeSite> w(d);
+  std::vector<kv::Ack> acks(5);
+  spawn_writes(w, acks);
+  w.sim.run();
+  for (const auto& a : acks) EXPECT_EQ(a.result, 1);
+  EXPECT_EQ(w.site.batches(), 2u);  // four by count, then one by the timer
+  EXPECT_EQ(w.site.unsynced(), 0u);
+  EXPECT_EQ(w.disk_written(), 5.0 * kPageLen);
+}
+
+}  // namespace
+}  // namespace bs

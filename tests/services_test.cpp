@@ -11,7 +11,9 @@
 #include "blob/provider.h"
 #include "blob/version_manager.h"
 #include "bsfs/namespace.h"
+#include "hdfs/datanode.h"
 #include "net/network.h"
+#include "obs/metrics.h"
 #include "sim/parallel.h"
 #include "sim/simulator.h"
 
@@ -256,6 +258,31 @@ TEST(ProviderRam, DirtyPagesAreRamHitsBeforeFlush) {
   sim.spawn(proc(provider, &hits));
   sim.run_until(1.0);  // don't wait for the 64-second flush
   EXPECT_EQ(hits, 1u);
+}
+
+// ---------- DataNode page cache ----------
+
+TEST(DataNodeCache, HitsAndMissesFeedTheMetrics) {
+  sim::Simulator sim;
+  net::Network net(sim, tiny_net());
+  // Room for three 100-byte blocks.
+  hdfs::DataNode dn(sim, net, 1, /*ram_bytes=*/300);
+  auto proc = [](hdfs::DataNode& d) -> sim::Task<void> {
+    for (uint64_t i = 0; i < 4; ++i) {
+      co_await d.receive_block(0, i + 1, DataSpec::pattern(1, i * 100, 100));
+    }
+    // Block 1 was evicted when block 4 arrived; 2..4 are resident.
+    (void)co_await d.read_block(0, 1, 0, 100);  // miss (disk)
+    (void)co_await d.read_block(0, 3, 0, 100);  // hit
+    (void)co_await d.read_block(0, 4, 0, 100);  // hit
+  };
+  sim.spawn(proc(dn));
+  sim.run();
+  EXPECT_EQ(dn.cache_hits(), 2u);
+  EXPECT_EQ(dn.cache_misses(), 1u);
+  EXPECT_EQ(sim.metrics().counter("hdfs/dn_cache_hits").value(), 2.0);
+  EXPECT_EQ(sim.metrics().counter("hdfs/dn_cache_misses").value(), 1.0);
+  EXPECT_EQ(net.disk(1).bytes_read(), 100.0);
 }
 
 // ---------- Network per-stream cap ----------
