@@ -10,48 +10,35 @@
 // BlobSeer's load-balanced remote writes beat HDFS's synchronous local-disk
 // writes in the paper's §IV.B write benchmark.
 //
-// Durability spectrum on this path (ack semantics are what each level
-// means *here*; bench/ext8_group_commit.cpp measures the trade):
-//   kNone       (default — the paper's write-behind model) ack as soon as
-//               the page is in RAM; the flusher persists pages one at a
-//               time in the background. A power loss destroys every
-//               buffered page: the acked-unsynced window is bounded only
-//               by flusher backlog.
-//   kBatched    ack when the page is in RAM *and* the acked-unsynced
-//               window is at most max_records pages — the ack blocks while
-//               the window is full. The flusher coalesces up to
-//               max_records pages per disk write (count-or-time trigger),
-//               paying one positioning overhead per batch. A power loss
-//               destroys at most max_records acked pages plus the batch in
-//               flight.
-//   kImmediate  ack only after the page's own batch (of one) is on the
-//               platter. A power loss destroys zero acked pages.
+// The flusher, the ack rule and power-loss accounting are the shared
+// write-back window (common/write_back_window.h). Per level, the provider
+// sets it to:
+//   kNone       (default — the paper's write-behind model) one page per
+//               disk write, ack as soon as the page is in RAM.
+//   kBatched    up to max_records pages per disk write on the count-or-time
+//               trigger; ack once at most max_records pages are ahead of
+//               the page in the window.
+//   kImmediate  one page per disk write, ack after the page's own sync.
+// bench/ext8_group_commit.cpp measures the trade.
 //
-// Power loss discards exactly the unsynced window: pages whose batch
-// reached the disk survive a plain crash (the KV journal replays on
-// reboot); unsynced pages die with RAM, and the batch in flight dies via
-// the PR-4 incarnation machinery (net::Network::try_disk_write).
-//
-// Read path: RAM-resident pages (recently written or LRU-cached) are served
+// Read path: RAM-resident pages (dirty, or clean in the LRU) are served
 // from memory; otherwise the page is read from disk first. Either way the
-// body then flows back over the network to the client.
+// body then flows back over the network to the client. Dirty and clean
+// pages share one RAM budget (common/byte_lru.h); only clean ones evict.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <list>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "blob/types.h"
+#include "common/byte_lru.h"
 #include "common/container.h"
 #include "common/dataspec.h"
 #include "common/durability.h"
-#include "common/stats.h"
+#include "common/write_back_window.h"
 #include "kv/kvstore.h"
 #include "net/network.h"
-#include "sim/sync.h"
 #include "sim/task.h"
 
 namespace bs::blob {
@@ -126,75 +113,38 @@ class Provider {
   // --- introspection ---
   uint64_t pages_stored() const { return pages_stored_; }
   uint64_t bytes_stored() const { return store_.value_bytes(); }
-  uint64_t ram_used() const { return ram_used_; }
+  uint64_t ram_used() const { return ram_.used(); }
   uint64_t cache_hits() const { return cache_hits_; }
   uint64_t cache_misses() const { return cache_misses_; }
   const kv::KvStore& store() const { return store_; }
   // The durability spectrum's observable side: the unsynced window now, and
   // what power losses destroyed so far.
-  uint64_t unsynced_pages() const { return dirty_.size() + inflight_.size(); }
-  uint64_t unsynced_bytes() const { return unsynced_bytes_; }
-  uint64_t flush_batches() const { return flush_batches_; }
-  uint64_t bytes_lost_on_power_loss() const { return bytes_lost_; }
-  uint64_t acked_bytes_lost_on_power_loss() const { return acked_bytes_lost_; }
+  uint64_t unsynced_pages() const { return window_.unsynced_records(); }
+  uint64_t unsynced_bytes() const { return window_.unsynced_bytes(); }
+  uint64_t flush_batches() const { return window_.batches(); }
+  uint64_t bytes_lost_on_power_loss() const { return window_.bytes_lost(); }
+  uint64_t acked_bytes_lost_on_power_loss() const {
+    return window_.acked_bytes_lost();
+  }
 
  private:
-  // One page awaiting its flush. `seq` orders the unsynced window:
-  // synced_seq_ is the highest seq on the platter, so seq - synced_seq_ is
-  // the page's depth in the window.
-  struct DirtyPage {
-    std::string key;
-    uint64_t size = 0;
-    uint64_t seq = 0;
-    double enqueued_at = 0;
-  };
-
-  // LRU bookkeeping for RAM-resident *clean* pages.
   void cache_touch(const std::string& key, uint64_t size);
-  void cache_evict_for(uint64_t need);
   bool ram_resident(const std::string& key) const;
-
-  // True if a page with this seq has been acked already (for loss
-  // accounting at power-loss time).
-  bool seq_acked(uint64_t seq) const;
-  void drop_unsynced(std::vector<DirtyPage>& pages);
-  void advance_synced(uint64_t seq);
-
-  sim::Task<void> flusher();
-  sim::Task<void> flush_timer(double deadline);
 
   sim::Simulator& sim_;
   net::Network& net_;
   ProviderConfig cfg_;
   kv::KvStore store_;  // persisted pages (the "disk" contents)
 
-  // Dirty queue: pages in RAM awaiting flush. dirty_seq_ maps key → seq for
-  // every page that is dirty or in the in-flight batch.
-  std::deque<DirtyPage> dirty_;
-  std::vector<DirtyPage> inflight_;  // the batch on the platter path
+  // RAM: dirty pages pinned, clean pages in the LRU.
+  ByteLru<std::string> ram_;
+  // key → seq for every page that is dirty or in the in-flight batch.
   bs::unordered_map<std::string, uint64_t> dirty_seq_;
-  uint64_t next_seq_ = 0;    // last seq assigned
-  uint64_t synced_seq_ = 0;  // highest seq durable on disk
-  uint64_t ram_used_ = 0;
-  uint64_t unsynced_bytes_ = 0;
-  sim::CondVar ram_freed_;
-  sim::CondVar dirty_added_;
-  sim::CondVar drained_;
-  sim::CondVar sync_cv_;  // notified when synced_seq_ advances (and on crash)
-  bool flusher_running_ = false;
-  bool force_flush_ = false;  // drain(): flush now, ignore the batch trigger
-
-  // Clean-page LRU (front = most recent).
-  std::list<std::pair<std::string, uint64_t>> lru_;
-  bs::unordered_map<std::string, std::list<std::pair<std::string, uint64_t>>::iterator>
-      lru_index_;
+  WriteBackWindow<std::string> window_;
 
   uint64_t pages_stored_ = 0;
   uint64_t cache_hits_ = 0;
   uint64_t cache_misses_ = 0;
-  uint64_t flush_batches_ = 0;
-  uint64_t bytes_lost_ = 0;
-  uint64_t acked_bytes_lost_ = 0;
   bool down_ = false;
 
   // Obs handles (cluster-wide aggregates shared by all providers in the
@@ -207,7 +157,6 @@ class Provider {
   obs::Counter* m_cache_hits_;
   obs::Counter* m_cache_misses_;
   obs::Counter* m_replications_;
-  kv::GroupCommitObs gc_;
 };
 
 }  // namespace bs::blob

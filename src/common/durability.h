@@ -1,7 +1,9 @@
 // Durability spectrum for the write path — shared by every site where
-// writes become durable: the KV journal (kv/journal.h, GroupCommitJournal),
-// the blob provider's page flusher (blob/provider.h), and the HDFS
-// DataNode's block path (hdfs/datanode.h).
+// writes become durable: the KV journal (kv/journal.h, GroupCommitJournal)
+// and the write-back window (common/write_back_window.h) under the blob
+// provider's page flusher (blob/provider.h) and the HDFS DataNode's block
+// path (hdfs/datanode.h). Each site's header says what the levels mean
+// there.
 //
 // The paper's write benchmarks (fig3, ext1) charge every write the full
 // per-op persistence cost; real deployments trade durability for
@@ -14,17 +16,14 @@
 //   kImmediate  ack after this record's own sync. A power loss destroys
 //               zero acknowledged bytes. One positioning overhead per
 //               record — the full per-op cost the paper assumes.
-//   kBatched    group commit: records coalesce into batches synced on a
-//               count-or-time trigger (max_records / max_delay_s), one
-//               positioning overhead per *batch*. Ack semantics are
-//               site-specific (see each site's header), but every site
-//               bounds the acknowledged-but-unsynced window by
+//   kBatched    group commit: records coalesce into batches of up to
+//               max_records, one positioning overhead per *batch*. Every
+//               site bounds the acknowledged-but-unsynced window by
 //               max_records records plus one in-flight batch — the most a
 //               power loss can destroy.
 //   kNone       ack as soon as the write is buffered; syncing is
-//               best-effort background work. Fastest, and a power loss
-//               destroys everything not yet flushed (window unbounded by
-//               policy, bounded only by flusher backlog).
+//               best-effort background work, and a power loss destroys
+//               everything not yet flushed.
 #pragma once
 
 #include <cstdint>
@@ -41,8 +40,8 @@ struct DurabilityPolicy {
   DurabilityLevel level = DurabilityLevel::kImmediate;
   // kBatched triggers: a batch syncs when it holds max_records records OR
   // max_delay_s after its first record arrived, whichever fires first.
-  // (Also the flush cadence for kNone's background sync; irrelevant for
-  // kImmediate.)
+  // (Also the kNone cadence of the journal and the DataNode; the provider
+  // writes kNone pages one at a time.)
   uint64_t max_records = 32;
   double max_delay_s = 0.010;
 

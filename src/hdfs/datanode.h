@@ -11,36 +11,29 @@
 //               what pins HDFS write throughput to local-disk speed in the
 //               paper's §IV.B write benchmark. Power loss destroys zero
 //               acked blocks.
-//   kBatched    ack when the transfer finishes (hflush) *and* the
-//               acked-unsynced window is at most max_records blocks; a
-//               background syncer coalesces up to max_records blocks per
-//               disk write on a count-or-time trigger (periodic hsync).
-//               Power loss destroys at most the window plus the batch in
-//               flight.
-//   kNone       ack on transfer alone; syncing is best-effort background
-//               work on the same cadence. Power loss destroys every
-//               unsynced block.
-// Power loss discards exactly the unsynced window (the batch in flight is
-// failed by the PR-4 incarnation machinery, net::Network::try_disk_write);
-// synced blocks survive a plain crash.
+//   kBatched    ack when the transfer finishes (hflush) and at most
+//               max_records blocks are ahead of the block in the unsynced
+//               window; a background syncer hsyncs up to max_records
+//               blocks per disk write on the count-or-time trigger.
+//   kNone       ack on the transfer alone; the syncer runs on the same
+//               cadence.
+// The syncer, the ack rule and power-loss accounting are the shared
+// write-back window (common/write_back_window.h).
 //
 // Reads stream one block from one datanode (HDFS reads are single-source —
 // the contrast with BSFS's striped parallel page fetches).
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <list>
 #include <optional>
-#include <vector>
 
-#include "common/container.h"
+#include "common/byte_lru.h"
 #include "common/dataspec.h"
 #include "common/durability.h"
+#include "common/write_back_window.h"
 #include "hdfs/namenode.h"
 #include "kv/kvstore.h"
 #include "net/network.h"
-#include "sim/sync.h"
 #include "sim/task.h"
 
 namespace bs::hdfs {
@@ -87,7 +80,7 @@ class DataNode {
 
   // Blocks until every unsynced block is on disk, forcing batches out
   // regardless of the count-or-time trigger.
-  sim::Task<void> drain();
+  sim::Task<void> drain() { return window_.drain(); }
 
   bool has_block(BlockId id) const;
   uint64_t blocks_stored() const { return blocks_stored_; }
@@ -95,61 +88,29 @@ class DataNode {
   uint64_t cache_hits() const { return cache_hits_; }
   uint64_t cache_misses() const { return cache_misses_; }
   // The durability spectrum's observable side.
-  uint64_t unsynced_blocks() const { return unsynced_.size() + inflight_.size(); }
-  uint64_t unsynced_bytes() const { return unsynced_bytes_; }
-  uint64_t sync_batches() const { return sync_batches_; }
-  uint64_t bytes_lost_on_power_loss() const { return bytes_lost_; }
-  uint64_t acked_bytes_lost_on_power_loss() const { return acked_bytes_lost_; }
+  uint64_t unsynced_blocks() const { return window_.unsynced_records(); }
+  uint64_t unsynced_bytes() const { return window_.unsynced_bytes(); }
+  uint64_t sync_batches() const { return window_.batches(); }
+  uint64_t bytes_lost_on_power_loss() const { return window_.bytes_lost(); }
+  uint64_t acked_bytes_lost_on_power_loss() const {
+    return window_.acked_bytes_lost();
+  }
 
  private:
-  struct UnsyncedBlock {
-    BlockId id = 0;
-    uint64_t size = 0;
-    uint64_t seq = 0;
-    double enqueued_at = 0;
-  };
-
-  void cache_touch(BlockId id, uint64_t size);
-  bool cache_contains(BlockId id) const { return lru_index_.count(id) > 0; }
-  bool seq_acked(uint64_t seq) const;
-  void advance_synced(uint64_t seq);
-  void drop_unsynced(std::vector<UnsyncedBlock>& blocks);
-  sim::Task<void> syncer();
-  sim::Task<void> sync_timer(double deadline);
-
   sim::Simulator& sim_;
   net::Network& net_;
   net::NodeId node_;
-  uint64_t ram_bytes_;
   DurabilityPolicy durability_;
   kv::KvStore store_;
-  // Page-cache LRU over whole blocks (front = most recent).
-  std::list<std::pair<BlockId, uint64_t>> lru_;
-  bs::unordered_map<BlockId,
-                     std::list<std::pair<BlockId, uint64_t>>::iterator>
-      lru_index_;
-  uint64_t ram_used_ = 0;
+  ByteLru<BlockId> page_cache_;  // whole blocks
+  // hflush/hsync bookkeeping (kBatched/kNone only; kImmediate syncs
+  // inline).
+  WriteBackWindow<BlockId> window_;
   uint64_t blocks_stored_ = 0;
   uint64_t bytes_served_ = 0;
   uint64_t cache_hits_ = 0;
   uint64_t cache_misses_ = 0;
   bool down_ = false;
-
-  // hflush/hsync bookkeeping (kBatched/kNone only; kImmediate syncs
-  // inline). unsynced_ holds blocks awaiting the background hsync.
-  std::deque<UnsyncedBlock> unsynced_;
-  std::vector<UnsyncedBlock> inflight_;  // the batch on the platter path
-  uint64_t next_seq_ = 0;
-  uint64_t synced_seq_ = 0;
-  uint64_t unsynced_bytes_ = 0;
-  uint64_t sync_batches_ = 0;
-  uint64_t bytes_lost_ = 0;
-  uint64_t acked_bytes_lost_ = 0;
-  sim::CondVar sync_added_;
-  sim::CondVar sync_cv_;  // notified when synced_seq_ advances (and on crash)
-  sim::CondVar drained_;
-  bool syncer_running_ = false;
-  bool force_sync_ = false;
 
   // Obs handles (cluster-wide aggregates shared by all datanodes).
   obs::Tracer* tracer_;
@@ -159,7 +120,6 @@ class DataNode {
   obs::Counter* m_cache_hits_;
   obs::Counter* m_cache_misses_;
   obs::Counter* m_replications_;
-  kv::GroupCommitObs gc_;
 };
 
 }  // namespace bs::hdfs

@@ -107,8 +107,8 @@ class FileJournal final : public Journal {
 };
 
 // Obs handles for the group-commit durability plane, shared by every site
-// where writes become durable (this journal, the blob provider's page
-// flusher, the HDFS DataNode's block syncer). Cluster-wide aggregates;
+// where writes become durable (this journal and the write-back window under
+// the blob provider and the HDFS DataNode). Cluster-wide aggregates;
 // resolve once at construction per the obs cost rule.
 struct GroupCommitObs {
   obs::Counter* batches;           // kv/group_commit_batches

@@ -1,10 +1,12 @@
 // Unit tests for the common substrate: RNG, hashing, DataSpec payloads,
-// stats and table formatting.
+// stats and table formatting, and the byte-bounded LRU.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <set>
+#include <string>
 
+#include "common/byte_lru.h"
 #include "common/container.h"
 #include "common/dataspec.h"
 #include "common/hash.h"
@@ -367,6 +369,77 @@ TEST(SeededHash, SetHashSeedRoundTrips) {
   const uint64_t mid = set_hash_seed(prev);
   EXPECT_EQ(mid, 777u);
   EXPECT_EQ(hash_seed(), prev);
+}
+
+TEST(ByteLru, EvictsLeastRecentlyUsedFirst) {
+  ByteLru<int> lru(300);
+  lru.touch(1, 100);
+  lru.touch(2, 100);
+  lru.touch(3, 100);
+  lru.touch(1, 100);  // 2 is now the oldest
+  lru.touch(4, 100);
+  EXPECT_FALSE(lru.contains(2));
+  EXPECT_TRUE(lru.contains(1));
+  EXPECT_TRUE(lru.contains(3));
+  EXPECT_TRUE(lru.contains(4));
+  EXPECT_EQ(lru.used(), 300u);
+  lru.touch(5, 200);  // needs two evictions: 3, then 1
+  EXPECT_FALSE(lru.contains(3));
+  EXPECT_FALSE(lru.contains(1));
+  EXPECT_TRUE(lru.contains(4));
+  EXPECT_EQ(lru.used(), 300u);
+}
+
+TEST(ByteLru, AdmissionLeavesRoomForPinnedBytes) {
+  ByteLru<int> lru(300);
+  lru.touch(1, 100);
+  lru.touch(2, 100);
+  lru.pin(150);  // e.g. dirty pages: counted, never evicted
+  EXPECT_EQ(lru.used(), 350u);
+  EXPECT_FALSE(lru.fits(1));
+  lru.evict_for(100);  // 1 and 2 both go; the pins alone leave 150 free
+  EXPECT_FALSE(lru.contains(1));
+  EXPECT_FALSE(lru.contains(2));
+  EXPECT_TRUE(lru.fits(100));
+  lru.touch(3, 100);
+  lru.touch(4, 100);  // evicts 3: only 150 bytes beside the pins
+  EXPECT_FALSE(lru.contains(3));
+  EXPECT_EQ(lru.used(), 250u);
+  // Pinned bytes turn into a clean entry without evicting anything.
+  lru.unpin_into(5, 150);
+  EXPECT_TRUE(lru.contains(4));
+  EXPECT_TRUE(lru.contains(5));
+  EXPECT_EQ(lru.used(), 250u);
+  lru.evict_for(100);  // 4 is older than 5
+  EXPECT_FALSE(lru.contains(4));
+  EXPECT_TRUE(lru.contains(5));
+}
+
+TEST(ByteLru, SkipsAnEntryLargerThanCapacity) {
+  ByteLru<int> lru(300);
+  lru.touch(1, 100);
+  lru.touch(2, 301);
+  EXPECT_FALSE(lru.contains(2));
+  EXPECT_TRUE(lru.contains(1));  // nothing was evicted for it
+  EXPECT_EQ(lru.used(), 100u);
+}
+
+TEST(ByteLru, EraseAndClearAccountBytes) {
+  ByteLru<std::string> lru(1000);
+  lru.touch("a", 100);
+  lru.touch("b", 200);
+  lru.pin(50);
+  EXPECT_TRUE(lru.erase("a"));
+  EXPECT_FALSE(lru.erase("a"));
+  EXPECT_EQ(lru.used(), 250u);
+  lru.unpin_into("b", 50);  // replaces the stale entry for "b"
+  EXPECT_EQ(lru.used(), 50u);
+  lru.pin(70);
+  lru.clear();  // drops every entry, keeps the pins
+  EXPECT_FALSE(lru.contains("b"));
+  EXPECT_EQ(lru.used(), 70u);
+  lru.unpin(70);
+  EXPECT_EQ(lru.used(), 0u);
 }
 
 }  // namespace
