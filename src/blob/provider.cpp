@@ -188,21 +188,19 @@ sim::Task<bool> Provider::replicate_to(Provider& dst, PageKey key,
 
 void Provider::crash(bool wipe_storage) {
   down_ = true;
-  // Power loss: the unsynced window dies with RAM (see write_back_window.h);
-  // pages whose batch already synced survive via journal replay unless the
-  // disk itself is wiped below.
+  // Power loss: the unsynced window dies with RAM (see write_back_window.h),
+  // and so does every clean cached page; pages whose batch already synced
+  // survive via journal replay unless the disk itself is wiped below.
   window_.power_loss();
+  ram_.clear();
   if (wipe_storage) {
-    // Disk loss: forget every persisted page. The clean-cache LRU must be
-    // released here: a stale entry for a wiped key would otherwise outlive
-    // the page and serve it from RAM after the repair service re-stores it.
+    // Disk loss: forget every persisted page.
     std::vector<std::string> keys;
     store_.scan("", "", [&](const std::string& k, const Bytes&) {
       keys.push_back(k);
       return true;
     });
     for (const auto& k : keys) store_.erase(k);
-    ram_.clear();
   }
 }
 

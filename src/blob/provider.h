@@ -88,9 +88,10 @@ class Provider {
   // recover(). Storage semantics: pages whose flush reached the disk
   // survive a plain crash (the KV journal replays on reboot); pages still
   // in the unsynced window are destroyed — exactly the window, no more, no
-  // less (bytes_lost_on_power_loss accounts them). wipe_storage
-  // additionally models a disk loss, after which only re-replication can
-  // restore the data.
+  // less (bytes_lost_on_power_loss accounts them) — and the clean-page
+  // cache is emptied, so the first read after recover() goes to disk.
+  // wipe_storage additionally models a disk loss, after which only
+  // re-replication can restore the data.
   void crash(bool wipe_storage = false);
   void recover();
   bool is_down() const { return down_; }

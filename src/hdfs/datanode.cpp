@@ -172,9 +172,10 @@ void DataNode::forget_block(BlockId id) {
 void DataNode::crash(bool wipe_storage) {
   down_ = true;
   // Power loss: the unsynced window dies with the page cache (see
-  // write_back_window.h); synced blocks survive unless the disk is wiped
-  // below.
+  // write_back_window.h), and so does every cached block; synced blocks
+  // survive unless the disk is wiped below.
   window_.power_loss();
+  page_cache_.clear();
   if (wipe_storage) {
     std::vector<std::string> keys;
     store_.scan("", "", [&](const std::string& k, const Bytes&) {
@@ -182,7 +183,6 @@ void DataNode::crash(bool wipe_storage) {
       return true;
     });
     for (const auto& k : keys) store_.erase(k);
-    page_cache_.clear();
   }
 }
 

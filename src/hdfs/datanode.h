@@ -73,7 +73,8 @@ class DataNode {
 
   // Fail-stop crash / recovery (fault-injector hooks). A plain crash
   // destroys exactly the unsynced window (blocks whose hsync has not
-  // reached the platter); wipe_storage additionally models a disk loss.
+  // reached the platter) and empties the page cache; wipe_storage
+  // additionally models a disk loss.
   void crash(bool wipe_storage = false);
   void recover() { down_ = false; }
   bool is_down() const { return down_; }

@@ -502,6 +502,30 @@ TYPED_TEST(WriteBackWindow, ForgottenWhileQueuedCostsNoDiskWrite) {
   }
 }
 
+template <typename World>
+sim::Task<void> read_across_power_cycle(World* w, bool* found) {
+  (void)co_await w->site.write(0);
+  co_await w->site.node.drain();
+  (void)co_await w->site.read(0);  // served from RAM
+  w->power_loss();
+  w->power_on();
+  const std::optional<DataSpec> again = co_await w->site.read(0);
+  *found = again.has_value();
+}
+
+TYPED_TEST(WriteBackWindow, PowerCycleLeavesTheReadCacheCold) {
+  SiteWorld<TypeParam> w(DurabilityPolicy::immediate());
+  bool found = false;
+  w.sim.spawn(read_across_power_cycle(&w, &found));
+  w.sim.run();
+  // The synced record survives the power loss, but its cached copy died
+  // with RAM: the second read goes to the disk.
+  EXPECT_TRUE(found);
+  EXPECT_EQ(w.site.node.cache_hits(), 1u);
+  EXPECT_EQ(w.site.node.cache_misses(), 1u);
+  EXPECT_EQ(w.disk_read(), 1.0 * kPageLen);
+}
+
 sim::Task<void> overwrite_then_fill(ProviderSite* site, uint64_t* window) {
   (void)co_await site->write(0);
   (void)co_await site->write(1);
