@@ -1,7 +1,8 @@
 #include "blob/provider.h"
 
-#include <algorithm>
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "common/assert.h"
 #include "common/log.h"
